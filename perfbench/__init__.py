@@ -1,0 +1,5 @@
+"""Closed-loop benchmark of pdm-spectra: seeded workloads, output checks and tracing.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s> --trace <0|1>``
+from the repository root; ``BENCHMARK.json`` lists the workloads and metrics.
+"""
