@@ -7,8 +7,6 @@ rendered as %.12e and dict order is fixed, so identical configurations give
 byte-identical outputs. Files are written atomically (temp + rename).
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 numeric failure.
-The environment variable PDM_SPECTRA_SEED is reserved for future stochastic
-tests and is not read by the core.
 """
 
 from __future__ import annotations
@@ -26,8 +24,9 @@ import numpy as np
 from . import __version__
 from .conventions import SpectrumConvention
 from .errors import ConvergenceError, OutOfBoundStateRange, PdmSpectraError
-from .mass_models import GridSpec, MassDistribution, SampledFunction, pt_defect, sample
+from .mass_models import GridSpec, MassDistribution, SampledFunction, mass_eval, pt_defect
 from .numeric_oracle import (
+    EigenResult,
     collapse_conjugate_pairs,
     discretize_const,
     discretize_pdm,
@@ -84,7 +83,7 @@ class RunConfig:
     case: str
     alpha: float
     gamma: float
-    k: float
+    k: float | None     # None until _resolve derives the default
     reference: str
     lambda_depth: float
     mu: float
@@ -169,16 +168,12 @@ def _resolve(params: dict) -> RunConfig:
     for src, dst in rename.items():
         if src in merged:
             merged[dst] = merged.pop(src)
-    if merged["case"] == "b" and float(merged["gamma"]) == 0:
-        raise click.UsageError("--gamma must be nonzero for case b")
-    if merged["k"] is None:
-        merged["k"] = 2.0 if merged["case"] == "a" else 2.0 / float(merged["gamma"])
     try:
         cfg = RunConfig(
             case=str(merged["case"]),
             alpha=float(merged["alpha"]),
             gamma=float(merged["gamma"]),
-            k=float(merged["k"]),
+            k=None if merged["k"] is None else float(merged["k"]),
             reference=str(merged["reference"]),
             lambda_depth=float(merged["lambda"]),
             mu=float(merged["mu"]),
@@ -210,6 +205,8 @@ def _resolve(params: dict) -> RunConfig:
         raise click.UsageError(f"unknown reference {cfg.reference!r}")
     if cfg.convention not in ("half", "unit"):
         raise click.UsageError(f"unknown convention {cfg.convention!r}")
+    if cfg.k is None:
+        cfg.k = 2.0 if cfg.case == "a" else 2.0 / cfg.gamma
     return cfg
 
 
@@ -328,12 +325,10 @@ def spectrum(**params):
         out_rows = []
         for n, q, pot, lev in rows:
             tp = build_target_problem(cfg.scheme, pot, cfg.branch, n, cfg.conv, cfg.grid)
-            op = discretize_pdm(
-                _mass_fn(cfg.mass),
-                lambda x, _v=tp.potential: np.interp(x, cfg.grid.points, _v.values.real)
-                + 1j * np.interp(x, cfg.grid.points, _v.values.imag),
-                cfg.grid, cfg.conv)
-            res = eigen_solve(op, k=min(16, cfg.N - 2), want_vectors=False)
+            op = discretize_pdm(lambda x: mass_eval(cfg.mass, x), tp.potential,
+                                cfg.grid, cfg.conv)
+            # dense eig yields the whole spectrum anyway; match against all of it
+            res = eigen_solve(op, k=cfg.N - 2, want_vectors=False)
             gaps = np.abs(res.eigenvalues - lev.energy)
             i = int(np.argmin(gaps))
             en = complex(res.eigenvalues[i])
@@ -375,7 +370,7 @@ def potential(**params):
     y = cfg.scheme.y_of_x(x)
     omega = (omega_scarf(cfg.ref, y) if cfg.reference == "scarf"
              else omega_oscillator(cfg.ref, y))
-    m = ((cfg.alpha + x ** 2) / (1 + x ** 2)) ** cfg.k
+    m = mass_eval(cfg.mass, x)
     defect = pt_defect(tp.potential)
     if cfg.format == "json":
         _emit(_det({"schema": "pdm-spectra/potential/v1",
@@ -410,13 +405,9 @@ def wavefunction(**params):
         raise click.UsageError(str(exc))
     x = cfg.grid.points
     y = np.asarray(cfg.scheme.y_of_x(x), dtype=float)
-    m = ((cfg.alpha + x ** 2) / (1 + x ** 2)) ** cfg.k
+    m = mass_eval(cfg.mass, x)
     phi = tp.psi.values / m ** cfg.scheme.beta
-    vf = tp.potential
-    op = discretize_pdm(
-        lambda t: ((cfg.alpha + np.asarray(t) ** 2) / (1 + np.asarray(t) ** 2)) ** cfg.k,
-        lambda t: np.interp(t, x, vf.values.real) + 1j * np.interp(t, x, vf.values.imag),
-        cfg.grid, cfg.conv)
+    op = discretize_pdm(lambda t: mass_eval(cfg.mass, t), tp.potential, cfg.grid, cfg.conv)
     res = residual(op, tp.psi, tp.energy)
     if cfg.format == "json":
         _emit(_det({"schema": "pdm-spectra/wavefunction/v1",
@@ -444,13 +435,12 @@ def wavefunction(**params):
 # verify
 
 
-def _mass_fn(mass: MassDistribution):
-    return lambda x: ((mass.alpha + np.asarray(x, dtype=float) ** 2)
-                      / (1 + np.asarray(x, dtype=float) ** 2)) ** mass.exponent_k
+def _adjudicate_convention(checks: list) -> tuple[str | None, EigenResult]:
+    """Fit closed-form spectra against the oracle under both conventions.
 
-
-def _adjudicate_convention(checks: list) -> str | None:
-    """Fit closed-form spectra against the oracle under both conventions."""
+    Returns the adjudicated convention and the UNIT Scarf oracle spectrum,
+    which the Scarf-formula check reuses.
+    """
     results = {}
     scarf = ScarfII(5.25, 0.25)
     sel = BranchSelection()
@@ -477,6 +467,8 @@ def _adjudicate_convention(checks: list) -> str | None:
         levels = [scarf_energy(scarf, sel, n, conv) for n in range(scarf_bound_count(scarf))]
         op = discretize_const(lambda y: omega_scarf(scarf, y), grid, conv)
         res = eigen_solve(op, k=8, want_vectors=False)
+        if conv is SpectrumConvention.UNIT:
+            scarf_unit = res
         rep = spectrum_compare(levels, res, tol=1e-3)
         ok = ok and rep.passed
         details.append({"reference": "scarf(5.25,0.25)", "passed": rep.passed,
@@ -488,15 +480,13 @@ def _adjudicate_convention(checks: list) -> str | None:
                    "passed": adjudicated is not None,
                    "adjudicated": adjudicated,
                    "results": results})
-    return adjudicated
+    return adjudicated, scarf_unit
 
 
-def _adjudicate_scarf_formula(checks: list) -> str | None:
+def _adjudicate_scarf_formula(checks: list, res: EigenResult) -> str | None:
+    """Match the UNIT Scarf oracle spectrum against both energy formulas."""
     scarf = ScarfII(5.25, 0.25)
     sel = BranchSelection()
-    grid = GridSpec(15.0, 1501)
-    op = discretize_const(lambda y: omega_scarf(scarf, y), grid, SpectrumConvention.UNIT)
-    res = eigen_solve(op, k=8, want_vectors=False)
     outcome = {}
     for formula in (SCARF_FORMULA_PUBLISHED, SCARF_FORMULA_CORRECTED):
         levels = [scarf_energy(scarf, sel, n, SpectrumConvention.UNIT, formula=formula)
@@ -565,17 +555,13 @@ def _check_transport(checks: list, beta_override: float | None) -> None:
     for tag, scheme, kind, ref, n, L in _transport_cases():
         grid = GridSpec(L, 2401)
         tp = build_target_problem(scheme, ref, sel, n, conv, grid)
-        op = discretize_pdm(_mass_fn(scheme.mass),
-                            lambda x, _v=tp.potential: np.interp(x, grid.points, _v.values.real)
-                            + 1j * np.interp(x, grid.points, _v.values.imag),
-                            grid, conv)
+        op = discretize_pdm(lambda x: mass_eval(scheme.mass, x), tp.potential, grid, conv)
+        m = mass_eval(scheme.mass, grid.points)
         psi = tp.psi
         if beta_override is not None and tag == "case-a":
-            m = _mass_fn(scheme.mass)(grid.points)
             psi = SampledFunction(grid, psi.values * m ** (beta_override - scheme.beta),
                                   label=psi.label + "-override")
         r = residual(op, psi, tp.energy)
-        m = _mass_fn(scheme.mass)(grid.points)
         psi_bad = SampledFunction(grid, psi.values * m ** 0.1, label="control")
         r_bad = residual(op, psi_bad, tp.energy)
         ratio = r_bad / r if r > 0 else np.inf
@@ -603,8 +589,8 @@ def verify(case_a_beta, **params):
     cfg = _resolve(params)
     checks: list = []
     try:
-        adjudicated = _adjudicate_convention(checks)
-        _adjudicate_scarf_formula(checks)
+        adjudicated, scarf_unit = _adjudicate_convention(checks)
+        _adjudicate_scarf_formula(checks, scarf_unit)
         _check_round_trip(checks)
         _check_transport(checks, case_a_beta)
     except ConvergenceError as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -77,12 +77,18 @@ def _closed_form_map(dist: MassDistribution, gamma: float) -> bool:
     return abs(dist.exponent_k * gamma / 2.0 - 1.0) < 1e-12
 
 
-def coordinate_map_y(dist: MassDistribution, gamma: float, x: float) -> float:
+def coordinate_map_y(dist: MassDistribution, gamma: float, x):
     """y(x) = integral_0^x m(t)^(gamma/2) dt, strictly increasing.
 
     Uses the closed form x + (alpha - 1) arctan(x) when k*gamma/2 = 1,
-    adaptive quadrature otherwise.
+    adaptive quadrature otherwise (one integral per point). x may be a
+    scalar (float result, math.atan) or an array (array result, np.arctan).
     """
+    if np.ndim(x):
+        xs = np.asarray(x, dtype=float)
+        if _closed_form_map(dist, gamma):
+            return xs + (dist.alpha - 1.0) * np.arctan(xs)
+        return np.array([coordinate_map_y(dist, gamma, xi) for xi in xs.flat]).reshape(xs.shape)
     if _closed_form_map(dist, gamma):
         return float(x + (dist.alpha - 1.0) * math.atan(x))
     val, _ = quad(lambda t: mass_eval(dist, t) ** (gamma / 2.0), 0.0, x, limit=200)
@@ -144,7 +150,6 @@ class SampledFunction:
     grid: GridSpec
     values: np.ndarray
     label: str = ""
-    _frozen: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)

@@ -14,7 +14,7 @@ non-Hermitian; no symmetry shortcut is valid for complex PT potentials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 import scipy.linalg
@@ -47,15 +47,25 @@ class DiscreteOperator:
     boundary: str = "dirichlet"
 
 
-def discretize_pdm(mass: Callable, V: Callable, grid: GridSpec,
+def discretize_pdm(mass: Callable, V: Union[Callable, SampledFunction], grid: GridSpec,
                    conv: SpectrumConvention = SpectrumConvention.HALF) -> DiscreteOperator:
-    """Assemble the PDM operator -c d/dx[(1/m) d/dx] + V on the grid."""
+    """Assemble the PDM operator -c d/dx[(1/m) d/dx] + V on the grid.
+
+    V is either a callable evaluated at the grid points or a SampledFunction
+    on this same grid, whose samples are used as they are; a SampledFunction
+    on any other grid raises ValueError.
+    """
     x = grid.points
     n = grid.num_points_N
     h = grid.spacing
     xm = 0.5 * (x[:-1] + x[1:])
     w = conv.kinetic_factor / np.asarray(mass(xm), dtype=float)
-    v = np.asarray(V(x), dtype=complex)
+    if isinstance(V, SampledFunction):
+        if V.grid != grid:
+            raise ValueError("V grid does not match operator grid")
+        v = V.values
+    else:
+        v = np.asarray(V(x), dtype=complex)
     if not np.all(np.isfinite(v)):
         raise NaNGuard("potential is not finite on the grid")
     a = np.zeros((n, n), dtype=complex)
@@ -66,9 +76,9 @@ def discretize_pdm(mass: Callable, V: Callable, grid: GridSpec,
     return DiscreteOperator(grid=grid, matrix=a, convention=conv)
 
 
-def discretize_const(V: Callable, grid: GridSpec,
+def discretize_const(V: Union[Callable, SampledFunction], grid: GridSpec,
                      conv: SpectrumConvention = SpectrumConvention.HALF) -> DiscreteOperator:
-    """Constant-mass operator -c d^2/dy^2 + V."""
+    """Constant-mass operator -c d^2/dy^2 + V; V as in discretize_pdm."""
     return discretize_pdm(lambda x: np.ones_like(np.asarray(x, dtype=float)), V, grid, conv)
 
 

@@ -102,17 +102,8 @@ class CaseB:
     def beta(self) -> float:
         return (2.0 - self.gamma) / 4.0
 
-    def _closed_form(self) -> bool:
-        return abs(self.mass.exponent_k * self.gamma / 2.0 - 1.0) < 1e-12
-
     def y_of_x(self, x):
-        if self._closed_form():
-            xs = np.asarray(x, dtype=float)
-            out = xs + (self.mass.alpha - 1.0) * np.arctan(xs)
-            return out if out.ndim else float(out)
-        if np.ndim(x):
-            return np.array([coordinate_map_y(self.mass, self.gamma, xi) for xi in np.asarray(x)])
-        return coordinate_map_y(self.mass, self.gamma, float(x))
+        return coordinate_map_y(self.mass, self.gamma, x)
 
     def x_of_y(self, y):
         if np.ndim(y):
@@ -262,7 +253,7 @@ class TargetProblem:
         return doc
 
 
-def _reference_omega(reference, sel: BranchSelection) -> Callable:
+def _reference_omega(reference) -> Callable:
     if isinstance(reference, ScarfII):
         return lambda y: omega_scarf(reference, y)
     return lambda y: omega_oscillator(reference, y)
@@ -278,7 +269,7 @@ def build_target_problem(scheme: PCTScheme, reference, sel: BranchSelection,
     else:
         level = oscillator_energy(reference, n, conv)
         phi = lambda y: oscillator_wavefunction(reference, n, y)
-    omega = _reference_omega(reference, sel)
+    omega = _reference_omega(reference)
     x = grid.points
     v_vals = inverse_potential(scheme, omega, level.energy, x, conv)
     psi_vals = assemble_psi(scheme, phi, x)

@@ -37,6 +37,7 @@ from pdm_spectra import (
     gamma_c,
     jacobi_poly,
     laguerre_poly,
+    mass_eval,
 )
 from pdm_spectra import cli
 from pdm_spectra.cli import main as cli_main
@@ -78,14 +79,10 @@ def transport_cases():
         for n_pts in (1201, 2401):
             grid = GridSpec(L, n_pts)
             tp = build_target_problem(scheme, ref, sel, n, UNIT, grid)
-            op = discretize_pdm(
-                cli._mass_fn(scheme.mass),
-                lambda x, _v=tp.potential: np.interp(x, grid.points, _v.values.real)
-                + 1j * np.interp(x, grid.points, _v.values.imag),
-                grid, UNIT)
+            op = discretize_pdm(lambda x: mass_eval(scheme.mass, x), tp.potential, grid, UNIT)
             entry[f"res_{n_pts}"] = residual(op, tp.psi, tp.energy)
             if n_pts == 2401:
-                m = cli._mass_fn(scheme.mass)(grid.points)
+                m = mass_eval(scheme.mass, grid.points)
                 control = SampledFunction(grid, tp.psi.values * m ** 0.1, "control")
                 entry["res_control"] = residual(op, control, tp.energy)
                 entry["pt_defect"] = pt_defect(tp.potential)

@@ -68,6 +68,18 @@ def test_spectrum_scarf_level_out_of_range(runner):
     assert "(s+t-1)/2" in res.output
 
 
+def test_spectrum_matches_levels_above_the_sixteenth_eigenvalue(runner):
+    # 18 rows: the two highest sit above the 16th oracle eigenvalue and
+    # must still be paired with their own eigenvalue, not the 16th
+    res = runner.invoke(main, ["spectrum", "--reference", "oscillator", "--g", "0.75",
+                               "--eps", "0.5", "--levels", "0..8", "--N", "301",
+                               "--L", "10"])
+    assert res.exit_code == 0, res.output
+    rows = json.loads(res.output)["rows"]
+    assert len(rows) == 18
+    assert all(row["gap"] < 0.2 for row in rows)
+
+
 # ---------------------------------------------------------------------------
 # usage errors
 
@@ -106,6 +118,16 @@ def test_config_file_and_flag_precedence(runner, tmp_path):
 
     res = runner.invoke(main, ["spectrum", "--config", str(tmp_path / "none.json")])
     assert res.exit_code == 2
+
+
+def test_config_file_bad_value_is_usage_error(runner, tmp_path):
+    for doc, msg in (({"case": "b", "gamma": "abc"}, "could not convert"),
+                     ({"case": "b", "gamma": 0}, "--gamma must be nonzero")):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["potential", "--config", str(cfg)])
+        assert res.exit_code == 2, res.output
+        assert msg in res.output
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +190,9 @@ def _stub_checks(passed):
     def fake_adjudicate_convention(checks):
         checks.append({"name": "convention-adjudication", "passed": True,
                        "adjudicated": "unit", "results": {}})
-        return "unit"
+        return "unit", None
 
-    def fake_adjudicate_scarf(checks):
+    def fake_adjudicate_scarf(checks, res):
         checks.append({"name": "scarf-formula", "passed": True,
                        "matched": "corrected", "outcome": {}})
         return "corrected"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pdm_spectra import (
+    CaseB,
     ConvergenceError,
     GridAsymmetryError,
     GridSpec,
@@ -119,6 +120,20 @@ def test_map_round_trip_and_monotonic():
         assert np.all(np.diff(ys) > 0)  # strictly increasing
         for x, y in zip(xs, ys):
             assert coordinate_map_x(dist, gamma, float(y)) == pytest.approx(float(x), abs=1e-9)
+
+
+def test_map_on_array_matches_case_b():
+    xs = np.linspace(-4.0, 4.0, 33)
+    # closed form (k*gamma/2 = 1): vectorized np.arctan
+    dist = MassDistribution(2.0, 2.0)
+    ys = coordinate_map_y(dist, 1.0, xs)
+    assert np.array_equal(ys, CaseB(1.0, dist).y_of_x(xs))
+    assert np.array_equal(ys, xs + (dist.alpha - 1.0) * np.arctan(xs))
+    # quadrature: one integral per point, identical to the scalar calls
+    dist = MassDistribution(3.0, 3.0)
+    ys = coordinate_map_y(dist, 1.0, xs)
+    assert np.array_equal(ys, CaseB(1.0, dist).y_of_x(xs))
+    assert np.array_equal(ys, [coordinate_map_y(dist, 1.0, float(x)) for x in xs])
 
 
 def test_map_derivative_matches_mass_power():

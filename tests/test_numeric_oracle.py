@@ -73,6 +73,27 @@ def test_non_finite_potential_rejected():
         discretize_const(lambda x: np.where(x == 0, np.inf, 0.0), grid, HALF)
 
 
+def test_sampled_potential_matches_callable():
+    # samples on the operator's own grid enter the diagonal as they are:
+    # the same matrix as the callable, and as interpolating them back onto
+    # the grid they came from
+    grid = GridSpec(4.0, 81)
+    mass = lambda x: mass_eval(MassDistribution(2.0, 2.0), x)
+    v = lambda x: x ** 2 / 2.0 + 0.3j * np.sin(x)
+    vf = sample(grid, v)
+    op = discretize_pdm(mass, vf, grid, UNIT)
+    assert np.array_equal(op.matrix, discretize_pdm(mass, v, grid, UNIT).matrix)
+    interp = lambda x: (np.interp(x, grid.points, vf.values.real)
+                        + 1j * np.interp(x, grid.points, vf.values.imag))
+    assert np.array_equal(op.matrix, discretize_pdm(mass, interp, grid, UNIT).matrix)
+
+
+def test_sampled_potential_grid_mismatch_rejected():
+    vf = sample(GridSpec(2.0, 13), lambda x: x ** 2)
+    with pytest.raises(ValueError):
+        discretize_const(vf, GridSpec(2.0, 11), HALF)
+
+
 def test_singular_oscillator_profile_requires_shift():
     # eps = 0 with g^2 != 1/4 is singular on the real line; sampling the
     # profile on a grid containing y = 0 must fail loudly
@@ -300,8 +321,6 @@ def test_fixed_point_equivalence_case_a():
     op = discretize_pdm(lambda x: mass_eval(dist, x), v, grid, UNIT)
     e_star = eigen_solve(op, k=1, want_vectors=False).eigenvalues[0]
     omega = forward_omega(sch, sample(grid, v), complex(e_star), conv=UNIT)
-    op2 = discretize_const(
-        lambda y: np.interp(y, grid.points, omega.values.real)
-        + 1j * np.interp(y, grid.points, omega.values.imag), grid, UNIT)
+    op2 = discretize_const(omega, grid, UNIT)
     vals = eigen_solve(op2, k=8, want_vectors=False).eigenvalues
     assert np.min(np.abs(vals - e_star)) < 5e-4

@@ -250,11 +250,7 @@ def test_build_target_master_residual_check():
     sch = CaseA(MassDistribution(2.0, 2.0))
     grid = GridSpec(10.0, 2401)
     tp = build_target_problem(sch, ScarfII(5.25, 0.25), BranchSelection(), 0, UNIT, grid)
-    vf = tp.potential
-    op = discretize_pdm(
-        lambda x: mass_eval(sch.mass, x),
-        lambda x: np.interp(x, grid.points, vf.values.real) + 1j * np.interp(x, grid.points, vf.values.imag),
-        grid, UNIT)
+    op = discretize_pdm(lambda x: mass_eval(sch.mass, x), tp.potential, grid, UNIT)
     assert residual(op, tp.psi, tp.energy) < 1e-4
 
 
@@ -264,11 +260,7 @@ def test_case_b_wrong_beta_negative_control():
     sch = CaseB(1.0, MassDistribution(2.0, 2.0))
     grid = GridSpec(3.5, 1201)
     tp = build_target_problem(sch, ScarfII(8.0, 0.25), BranchSelection(), 0, UNIT, grid)
-    vf = tp.potential
-    op = discretize_pdm(
-        lambda x: mass_eval(sch.mass, x),
-        lambda x: np.interp(x, grid.points, vf.values.real) + 1j * np.interp(x, grid.points, vf.values.imag),
-        grid, UNIT)
+    op = discretize_pdm(lambda x: mass_eval(sch.mass, x), tp.potential, grid, UNIT)
     r_good = residual(op, tp.psi, tp.energy)
     m = mass_eval(sch.mass, grid.points)
     bad = SampledFunction(grid, tp.psi.values * m ** 0.1, "bad-beta")
