@@ -193,20 +193,20 @@ def _resolve(params: dict) -> RunConfig:
         raise click.UsageError(str(exc))
     if cfg.case not in ("a", "b"):
         raise click.UsageError(f"--case must be 'a' or 'b', got {cfg.case!r}")
-    if cfg.alpha <= 0:
-        raise click.UsageError(f"--alpha must be > 0, got {cfg.alpha}")
     if cfg.case == "b" and cfg.gamma == 0:
         raise click.UsageError("--gamma must be nonzero for case b")
-    if cfg.N < 3:
-        raise click.UsageError(f"--N must be >= 3, got {cfg.N}")
-    if cfg.L <= 0:
-        raise click.UsageError(f"--L must be > 0, got {cfg.L}")
     if cfg.reference not in ("scarf", "oscillator"):
         raise click.UsageError(f"unknown reference {cfg.reference!r}")
     if cfg.convention not in ("half", "unit"):
         raise click.UsageError(f"unknown convention {cfg.convention!r}")
-    if cfg.k is None:
+    derived = cfg.k is None
+    if derived:
         cfg.k = 2.0 if cfg.case == "a" else 2.0 / cfg.gamma
+    try:
+        cfg.mass, cfg.grid  # these reject alpha, k, L or N out of range, NaN included
+    except ValueError as exc:
+        hint = " (the default k is 2/gamma)" if derived and not cfg.k > 0 else ""
+        raise click.UsageError(f"{exc}{hint}")
     return cfg
 
 
@@ -327,17 +327,14 @@ def spectrum(**params):
             tp = build_target_problem(cfg.scheme, pot, cfg.branch, n, cfg.conv, cfg.grid)
             op = discretize_pdm(lambda x: mass_eval(cfg.mass, x), tp.potential,
                                 cfg.grid, cfg.conv)
-            # dense eig yields the whole spectrum anyway; match against all of it
-            res = eigen_solve(op, k=cfg.N - 2, want_vectors=False)
-            gaps = np.abs(res.eigenvalues - lev.energy)
-            i = int(np.argmin(gaps))
-            en = complex(res.eigenvalues[i])
+            res = eigen_solve(op, k=min(4, cfg.N - 2), want_vectors=False, sigma=lev.energy)
+            en = complex(res.eigenvalues[0])
             out_rows.append({
                 "n": n, "q": q,
                 "E_analytic": [lev.energy.real, lev.energy.imag],
                 "E_numeric": [en.real, en.imag],
-                "gap": float(gaps[i]),
-                "real": bool(res.reality_flags[i]),
+                "gap": abs(en - lev.energy),
+                "real": bool(res.reality_flags[0]),
             })
     except ConvergenceError as exc:
         click.echo(f"numeric failure: {exc}", err=True)

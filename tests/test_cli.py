@@ -92,8 +92,12 @@ def test_spectrum_matches_levels_above_the_sixteenth_eigenvalue(runner):
     ["spectrum", "--case", "c"],
     ["spectrum", "--N", "2"],
     ["spectrum", "--L", "0"],
+    ["spectrum", "--L", "nan"],
     ["spectrum", "--convention", "planck"],
     ["potential", "--case", "b", "--gamma", "0"],
+    ["potential", "--k", "-1"],
+    ["potential", "--case", "b", "--gamma", "-2"],   # default k = 2/gamma < 0
+    ["spectrum", "--k", "0"],
 ])
 def test_usage_errors_exit_2(runner, argv):
     res = runner.invoke(main, argv)
@@ -122,7 +126,8 @@ def test_config_file_and_flag_precedence(runner, tmp_path):
 
 def test_config_file_bad_value_is_usage_error(runner, tmp_path):
     for doc, msg in (({"case": "b", "gamma": "abc"}, "could not convert"),
-                     ({"case": "b", "gamma": 0}, "--gamma must be nonzero")):
+                     ({"case": "b", "gamma": 0}, "--gamma must be nonzero"),
+                     ({"k": -0.5}, "exponent_k must be > 0")):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         res = runner.invoke(main, ["potential", "--config", str(cfg)])

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from pdm_spectra import (
+    BranchSelection,
+    CaseB,
+    ConvergenceError,
     DiscreteOperator,
     EnergyLevel,
     GenOscillator,
@@ -16,6 +19,7 @@ from pdm_spectra import (
     ScarfII,
     SingularityError,
     SpectrumConvention,
+    build_target_problem,
     discretize_const,
     discretize_pdm,
     eigen_solve,
@@ -123,10 +127,11 @@ def test_eigen_solve_rotation_block():
 
 def test_eigen_solve_k_validation():
     op = _operator_from_interior(np.eye(2))
-    with pytest.raises(ValueError):
-        eigen_solve(op, k=3)
-    with pytest.raises(ValueError):
-        eigen_solve(op, k=0)
+    for sigma in (None, 0.5):
+        with pytest.raises(ValueError):
+            eigen_solve(op, k=3, sigma=sigma)
+        with pytest.raises(ValueError):
+            eigen_solve(op, k=0, sigma=sigma)
 
 
 def test_eigen_solve_vectors_and_residual_certificates():
@@ -140,6 +145,111 @@ def test_eigen_solve_vectors_and_residual_certificates():
     for i in range(5):
         v = SampledFunction(op.grid, res.eigenvectors[:, i], f"v{i}")
         assert residual(op, v, res.eigenvalues[i]) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# eigen_solve near a shift sigma (shift-invert Arnoldi)
+
+EPS = np.finfo(float).eps
+
+
+def _case_b_pdm():
+    dist = MassDistribution(2.0, 2.0)
+    grid = GridSpec(3.2, 601)
+    tp = build_target_problem(CaseB(1.0, dist), ScarfII(8.0, 0.25), BranchSelection(), 1,
+                              UNIT, grid)
+    return discretize_pdm(lambda x: mass_eval(dist, x), tp.potential, grid, UNIT)
+
+
+_SIGMA_OPERATORS = {
+    "pt-oscillator": lambda: discretize_const(
+        lambda y: omega_oscillator(GenOscillator(0.75, 0.5), y), GridSpec(10.0, 601), UNIT),
+    # real and even: the odd levels are orthogonal to any even start vector
+    "even-oscillator": lambda: discretize_const(lambda y: y ** 2 / 2.0, GridSpec(10.0, 601),
+                                                HALF),
+    "scarf": lambda: discretize_const(
+        lambda y: omega_scarf(ScarfII(5.25, 0.25), y), GridSpec(12.0, 601), UNIT),
+    "case-b-pdm": _case_b_pdm,
+}
+
+
+@pytest.fixture(scope="module", params=list(_SIGMA_OPERATORS))
+def sigma_case(request):
+    op = _SIGMA_OPERATORS[request.param]()
+    interior = op.matrix[1:-1, 1:-1]
+    dense = eigen_solve(op, k=op.grid.num_points_N - 2)
+    anorm = np.max(np.sum(np.abs(interior), axis=1))
+    return op, dense, anorm
+
+
+def test_sigma_matches_dense_nearest_within_rounding(sigma_case):
+    # rounding bound 32 kappa eps ||A||_inf, kappa = ||x||^2/|x^T x| the
+    # eigenvalue condition number of the complex-symmetric interior
+    op, dense, anorm = sigma_case
+    for j in range(6):
+        sigma = dense.eigenvalues[j] + 0.2 * (dense.eigenvalues[j + 1] - dense.eigenvalues[j])
+        res = eigen_solve(op, k=4, want_vectors=False, sigma=sigma)
+        dist = np.abs(res.eigenvalues - sigma)
+        assert np.all(np.diff(dist) >= 0)            # ordered by distance
+        nearest = np.argsort(np.abs(dense.eigenvalues - sigma), kind="stable")[:4]
+        for got, i in zip(res.eigenvalues, nearest):
+            x = dense.eigenvectors[1:-1, i]
+            kappa = np.linalg.norm(x) ** 2 / abs(x @ x)
+            assert abs(got - dense.eigenvalues[i]) <= 32 * kappa * EPS * anorm
+        assert res.reality_flags[0] == dense.reality_flags[nearest[0]]
+
+
+def test_sigma_residuals_at_rounding_level(sigma_case):
+    op, dense, anorm = sigma_case
+    sigma = dense.eigenvalues[2] + 0.01
+    res = eigen_solve(op, k=4, want_vectors=True, sigma=sigma)
+    assert res.eigenvectors.shape == (op.grid.num_points_N, 4)
+    assert np.all(res.eigenvectors[0] == 0) and np.all(res.eigenvectors[-1] == 0)
+    assert res.residuals[0] < 10 * EPS * anorm
+    assert np.all(res.residuals < 1e3 * EPS * anorm)
+    v = SampledFunction(op.grid, res.eigenvectors[:, 0], "v0")
+    assert residual(op, v, res.eigenvalues[0]) < 10 * EPS * anorm
+
+
+@pytest.mark.parametrize("interior", [
+    np.array([[2.0 + 1.0j]]),
+    np.array([[2.0, -1.0, 0.0], [-1.0, 2.0 + 0.5j, -1.0], [0.0, -1.0, 2.0]]),
+])
+def test_sigma_on_tiny_grids_equals_dense(interior):
+    op = _operator_from_interior(interior.astype(complex))
+    m = interior.shape[0]
+    dense = eigen_solve(op, k=m)
+    for sigma in (0.0, 1.7 + 0.2j, 3.5):
+        order = np.argsort(np.abs(dense.eigenvalues - sigma), kind="stable")
+        for k in range(1, m + 1):
+            res = eigen_solve(op, k=k, sigma=sigma)
+            want = dense.eigenvalues[order[:k]]
+            if k < m - 1:   # served by ARPACK: equal up to rounding
+                np.testing.assert_allclose(res.eigenvalues, want, rtol=1e-13, atol=0)
+            else:
+                assert np.array_equal(res.eigenvalues, want)
+            assert np.array_equal(res.reality_flags, dense.reality_flags[order[:k]])
+            assert np.all(res.residuals < 1e-13)
+
+
+def test_sigma_at_an_eigenvalue_returns_it():
+    # A - sigma I is exactly singular: sigma itself is the nearest eigenvalue
+    op = _operator_from_interior(np.diag(np.arange(1.0, 9.0)).astype(complex))
+    res = eigen_solve(op, k=3, sigma=3.0)
+    assert res.eigenvalues[0] == 3.0
+    assert sorted(res.eigenvalues[1:].real) == [2.0, 4.0]
+
+
+def test_sigma_no_convergence_is_typed(monkeypatch):
+    import scipy.sparse.linalg
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
+    op = discretize_const(lambda y: y ** 2 / 2.0, GridSpec(5.0, 101), HALF)
+    with pytest.raises(ConvergenceError):
+        eigen_solve(op, k=4, sigma=1.0)
 
 
 # ---------------------------------------------------------------------------
