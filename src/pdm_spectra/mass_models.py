@@ -8,7 +8,6 @@ are members of this family (k = 2, k = 4, and k = 2/gamma).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -162,23 +161,12 @@ class SampledFunction:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def to_csv_text(self, extra_comments: tuple[str, ...] = ()) -> str:
-        lines = [f"# label: {self.label}", f"# grid: L={self.grid.half_width_L:.12e} N={self.grid.num_points_N}"]
-        lines += [f"# {c}" for c in extra_comments]
-        lines.append("x,re,im")
-        for x, v in zip(self.grid.points, self.values):
-            lines.append(f"{x:.12e},{v.real:.12e},{v.imag:.12e}")
-        return "\n".join(lines) + "\n"
-
     def to_json_dict(self) -> dict:
         return {
             "label": self.label,
             "grid": self.grid.to_dict(),
             "values": [[v.real, v.imag] for v in self.values],
         }
-
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def sample(grid: GridSpec, fn, label: str = "") -> SampledFunction:

@@ -7,11 +7,14 @@ The kinetic term uses the flux-conserving 3-point stencil
 
 with c the convention's kinetic factor (1/2 for HALF, 1 for UNIT) and
 Dirichlet walls at +-L. Sampling w at midpoints enforces continuity of
-(1/m) psi' across mass variations by construction. The eigensolver is
-non-Hermitian, as no symmetry shortcut is valid for complex PT potentials, and
-has two branches: a dense eigendecomposition for the k levels of smallest real
-part, and banded shift-invert Arnoldi for the k levels nearest a given energy.
-Both are certified by the same residuals ||A x - lambda x|| / ||x||.
+(1/m) psi' across mass variations by construction. The operator is stored as
+the three bands of its interior rows (Golub & Van Loan, Matrix Computations,
+sec. 1.2.5), so assembly, residuals and the PT check cost O(N); the dense
+N x N matrix is derived on request. The eigensolver is non-Hermitian, as no
+symmetry shortcut is valid for complex PT potentials, and has two branches: a
+dense eigendecomposition for the k levels of smallest real part, and banded
+shift-invert Arnoldi for the k levels nearest a given energy. Both are
+certified by the same residuals ||A x - lambda x|| / ||x||.
 """
 
 from __future__ import annotations
@@ -46,10 +49,46 @@ REALITY_TOL_SCALE = 1e-6
 
 @dataclass(frozen=True)
 class DiscreteOperator:
+    """Tridiagonal operator as the bands of its interior rows j = 1..N-2.
+
+    Row j reads lower psi_{j-1} + diag psi_j + upper psi_{j+1}; each band has
+    length N-2, and lower[0] and upper[-1] are the couplings to the wall
+    nodes 0 and N-1, which residual keeps and eigen_solve drops (Dirichlet).
+    """
+
     grid: GridSpec
-    matrix: np.ndarray  # N x N complex; boundary rows are zero (Dirichlet)
     convention: SpectrumConvention
-    boundary: str = "dirichlet"
+    lower: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
+
+    def __post_init__(self):
+        m = self.grid.num_points_N - 2
+        for name in ("lower", "diag", "upper"):
+            band = np.array(getattr(self, name), dtype=complex)
+            if band.shape != (m,):
+                raise ValueError(f"{name} band has shape {band.shape}, need ({m},) for N = {m + 2}")
+            band.setflags(write=False)
+            object.__setattr__(self, name, band)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense N x N matrix, boundary rows zero: a new read-only array per call."""
+        n = self.grid.num_points_N
+        a = np.zeros((n, n), dtype=complex)
+        i = np.arange(1, n - 1)
+        a[i, i - 1] = self.lower
+        a[i, i] = self.diag
+        a[i, i + 1] = self.upper
+        a.setflags(write=False)
+        return a
+
+
+def _band_product(op: DiscreteOperator, psi: np.ndarray) -> np.ndarray:
+    """Interior rows of A times psi; psi holds all N nodes, shape (N,) or (N, k)."""
+    lower, diag, upper = (b.reshape((-1,) + (1,) * (psi.ndim - 1))
+                          for b in (op.lower, op.diag, op.upper))
+    return lower * psi[:-2] + diag * psi[1:-1] + upper * psi[2:]
 
 
 def discretize_pdm(mass: Callable, V: Union[Callable, SampledFunction], grid: GridSpec,
@@ -61,7 +100,6 @@ def discretize_pdm(mass: Callable, V: Union[Callable, SampledFunction], grid: Gr
     on any other grid raises ValueError.
     """
     x = grid.points
-    n = grid.num_points_N
     h = grid.spacing
     xm = 0.5 * (x[:-1] + x[1:])
     w = conv.kinetic_factor / np.asarray(mass(xm), dtype=float)
@@ -73,12 +111,8 @@ def discretize_pdm(mass: Callable, V: Union[Callable, SampledFunction], grid: Gr
         v = np.asarray(V(x), dtype=complex)
     if not np.all(np.isfinite(v)):
         raise NaNGuard("potential is not finite on the grid")
-    a = np.zeros((n, n), dtype=complex)
-    i = np.arange(1, n - 1)
-    a[i, i] = (w[i - 1] + w[i]) / h ** 2 + v[i]
-    a[i, i - 1] = -w[i - 1] / h ** 2
-    a[i, i + 1] = -w[i] / h ** 2
-    return DiscreteOperator(grid=grid, matrix=a, convention=conv)
+    return DiscreteOperator(grid=grid, convention=conv, lower=-w[:-1] / h ** 2,
+                            diag=(w[:-1] + w[1:]) / h ** 2 + v[1:-1], upper=-w[1:] / h ** 2)
 
 
 def discretize_const(V: Union[Callable, SampledFunction], grid: GridSpec,
@@ -113,28 +147,30 @@ def _dense_eig(interior: np.ndarray, want_vectors: bool):
         raise ConvergenceError(f"dense eigendecomposition failed: {exc}") from exc
 
 
-def _shift_invert(interior: np.ndarray, k: int, want_vectors: bool, sigma: complex):
-    """k eigenpairs nearest sigma by ARPACK on a sparse LU of the tridiagonal interior.
+def _shift_invert(op: DiscreteOperator, k: int, want_vectors: bool, sigma: complex):
+    """k eigenpairs nearest sigma by ARPACK on a sparse LU of the interior bands.
 
     Returns None when A - sigma I is exactly singular, i.e. sigma is itself
     an eigenvalue of the interior.
     """
-    m = interior.shape[0]
-    bands = [np.diagonal(interior, -1), np.diagonal(interior) - sigma, np.diagonal(interior, 1)]
+    m = op.grid.num_points_N - 2
+    bands = [op.lower[1:], op.diag - sigma, op.upper[:-1]]
     try:
         lu = scipy.sparse.linalg.splu(scipy.sparse.diags(bands, [-1, 0, 1], format="csc"))
     except RuntimeError:   # "Factor is exactly singular"
         return None
     opinv = scipy.sparse.linalg.LinearOperator((m, m), matvec=lu.solve, dtype=complex)
+    # ARPACK's complex shift-invert mode applies only OPinv; A is the
+    # interior with Dirichlet walls, given by its banded product
+    a = scipy.sparse.linalg.LinearOperator(
+        (m, m), matvec=lambda x: _band_product(op, np.pad(np.ravel(x), 1)), dtype=complex)
     # a fixed start vector keeps the output byte-deterministic (ARPACK's own
     # is random); a generic one has a component along every eigenvector,
     # where all-ones has none along the odd levels of an even potential and
     # would rely on rounding to supply them
     v0 = np.random.default_rng(0).standard_normal(m).astype(complex)
-    # with OPinv given, ARPACK's complex shift-invert mode reads only A's shape
-    # and dtype, so the dense interior serves as A without a second matrix
     try:
-        out = scipy.sparse.linalg.eigs(interior, k=k, sigma=sigma, which="LM", OPinv=opinv,
+        out = scipy.sparse.linalg.eigs(a, k=k, sigma=sigma, which="LM", OPinv=opinv,
                                        v0=v0, return_eigenvectors=want_vectors)
     except scipy.sparse.linalg.ArpackError as exc:
         raise ConvergenceError(f"shift-invert Arnoldi at sigma={sigma} failed: {exc}") from exc
@@ -148,32 +184,29 @@ def eigen_solve(op: DiscreteOperator, k: int, want_vectors: bool = True,
     With sigma None: the k of smallest real part, from a dense
     eigendecomposition of the interior. With sigma given: the k nearest
     sigma, ordered by |lambda - sigma|, from shift-invert Arnoldi on a
-    sparse LU of the tridiagonal interior (Lehoucq, Sorensen & Yang, ARPACK
-    Users' Guide, 1998, sec. 3.2), which reads only the three bands of the
-    interior, so the operator must be tridiagonal as discretize_pdm builds
-    it. ARPACK needs k < N-3; for larger k, or when sigma is itself an
-    eigenvalue, the dense spectrum is sorted by distance to sigma instead.
+    sparse LU of the interior bands (Lehoucq, Sorensen & Yang, ARPACK
+    Users' Guide, 1998, sec. 3.2). ARPACK needs k < N-3; for larger k, or
+    when sigma is itself an eigenvalue, the dense spectrum is sorted by
+    distance to sigma instead.
     """
     n = op.grid.num_points_N
     if not 1 <= k <= n - 2:
         raise ValueError(f"k must be in [1, N-2] = [1, {n - 2}], got {k}")
-    interior = op.matrix[1:-1, 1:-1]
     found = None
     if sigma is not None and k < n - 3:
-        found = _shift_invert(interior, k, want_vectors, sigma)
-    vals, vecs = found if found is not None else _dense_eig(interior, want_vectors)
+        found = _shift_invert(op, k, want_vectors, sigma)
+    vals, vecs = found if found is not None else _dense_eig(op.matrix[1:-1, 1:-1], want_vectors)
     if sigma is None:
         order = np.argsort(vals.real, kind="stable")[:k]
     else:
         order = np.argsort(np.abs(vals - sigma), kind="stable")[:k]
     vals = vals[order]
     if vecs is not None:
-        vecs = vecs[:, order]
-        rnorm = np.linalg.norm(vecs, axis=0)
-        res = np.linalg.norm(interior @ vecs - vecs * vals[None, :], axis=0) / rnorm
         full = np.zeros((n, k), dtype=complex)
-        full[1:-1, :] = vecs
+        full[1:-1, :] = vecs[:, order]
         vecs = full
+        res = (np.linalg.norm(_band_product(op, vecs) - vecs[1:-1] * vals[None, :], axis=0)
+               / np.linalg.norm(vecs, axis=0))
     else:
         res = np.full(k, np.nan)
     return EigenResult(eigenvalues=vals, residuals=res, reality_flags=_reality_flags(vals),
@@ -192,14 +225,17 @@ def residual(op: DiscreteOperator, psi: SampledFunction, E: complex) -> float:
     nrm = np.linalg.norm(v[1:-1])
     if not np.isfinite(nrm) or nrm == 0.0:
         raise NaNGuard("residual of a zero or non-finite vector")
-    r = op.matrix[1:-1, :] @ v - E * v[1:-1]
-    return float(np.linalg.norm(r) / nrm)
+    return float(np.linalg.norm(_band_product(op, v) - E * v[1:-1]) / nrm)
 
 
 def pt_commutation_defect(op: DiscreteOperator) -> float:
-    """max |A - C M A M C| with M the index mirror and C conjugation."""
-    a = op.matrix
-    return float(np.max(np.abs(a - np.conj(a[::-1, ::-1]))))
+    """max |A - C M A M C| with M the index mirror and C conjugation.
+
+    M reverses the diagonal and swaps the lower band with the reversed upper
+    one; every entry off the three bands is zero on both sides.
+    """
+    return float(max(np.max(np.abs(op.diag - np.conj(op.diag[::-1]))),
+                     np.max(np.abs(op.lower - np.conj(op.upper[::-1])))))
 
 
 @dataclass(frozen=True)
@@ -209,17 +245,6 @@ class SpectrumReport:
     spurious: tuple           # numeric eigenvalues below edge with no partner
     tol: float
     passed: bool
-
-    def lines(self) -> list[str]:
-        out = []
-        for n, ea, en, gap in self.matched:
-            out.append(f"n={n}: analytic={ea:.10g} numeric={en:.10g} |gap|={gap:.3e}")
-        for n, ea in self.unmatched:
-            out.append(f"n={n}: analytic={ea:.10g} UNMATCHED")
-        for en in self.spurious:
-            out.append(f"spurious numeric level {en:.10g}")
-        out.append("PASS" if self.passed else "FAIL")
-        return out
 
     def to_json_dict(self) -> dict:
         return {

@@ -35,7 +35,6 @@ from .mass_models import (
     coordinate_map_y,
     mass_eval,
     mass_log_derivs,
-    pt_defect,
 )
 from .reference_potentials import (
     BranchSelection,
@@ -83,9 +82,6 @@ class CaseA:
     def x_of_y(self, y):
         return np.asarray(y, dtype=float) if np.ndim(y) else float(y)
 
-    def tag(self) -> str:
-        return "case-a"
-
 
 @dataclass(frozen=True)
 class CaseB:
@@ -109,9 +105,6 @@ class CaseB:
         if np.ndim(y):
             return np.array([coordinate_map_x(self.mass, self.gamma, yi) for yi in np.asarray(y)])
         return coordinate_map_x(self.mass, self.gamma, float(y))
-
-    def tag(self) -> str:
-        return "case-b"
 
 
 PCTScheme = Union[CaseA, CaseB]
@@ -221,36 +214,6 @@ class TargetProblem:
     convention: SpectrumConvention
     potential: SampledFunction
     psi: SampledFunction
-
-    def potential_pt_defect(self) -> float:
-        return pt_defect(self.potential)
-
-    def to_json_dict(self, inline_potential: bool = True) -> dict:
-        ref = self.reference
-        if isinstance(ref, ScarfII):
-            ref_d = {"kind": "scarf", "lambda": ref.lambda_depth, "mu": ref.mu_strength}
-        else:
-            ref_d = {"kind": "oscillator", "g": ref.g, "eps": ref.epsilon,
-                     "qparity": ref.quasi_parity}
-        doc = {
-            "schema": "pdm-spectra/v1",
-            "scheme": {
-                "case": self.scheme.tag(),
-                "alpha": self.scheme.mass.alpha,
-                "k": self.scheme.mass.exponent_k,
-                "gamma": self.scheme.gamma,
-                "beta": self.scheme.beta,
-            },
-            "reference": ref_d,
-            "branch": {"sign_p": self.branch.sign_p, "sign_q": self.branch.sign_q},
-            "n": self.n,
-            "E": [self.energy.real, self.energy.imag],
-            "convention": self.convention.value,
-            "psi": self.psi.to_json_dict(),
-        }
-        doc["potential"] = (self.potential.to_json_dict() if inline_potential
-                            else {"csv_ref": f"potential_n{self.n}.csv"})
-        return doc
 
 
 def _reference_omega(reference) -> Callable:

@@ -1,6 +1,5 @@
 """Mass family, coordinate map, grids, sampled functions and PT diagnostics."""
 
-import json
 import math
 
 import numpy as np
@@ -184,23 +183,12 @@ def test_sampled_function_immutability_and_validation():
         SampledFunction(grid, np.array([0, 1, np.nan, 3, 4], dtype=complex))
 
 
-def test_sampled_function_csv_and_json():
+def test_sampled_function_json_dict():
     grid = GridSpec(1.0, 3)
     f = SampledFunction(grid, np.array([1 + 2j, 0.0, -1j]), "demo")
-    text = f.to_csv_text(extra_comments=("hello",))
-    lines = text.strip().split("\n")
-    assert lines[0].startswith("# label: demo")
-    assert "# hello" in lines
-    header = [l for l in lines if not l.startswith("#")][0]
-    assert header == "x,re,im"
-    first = [l for l in lines if not l.startswith("#")][1].split(",")
-    assert float(first[0]) == pytest.approx(-1.0)
-    assert float(first[1]) == pytest.approx(1.0)
-    assert float(first[2]) == pytest.approx(2.0)
     doc = f.to_json_dict()
     assert doc["grid"] == {"L": 1.0, "N": 3}
     assert doc["values"][2] == [0.0, -1.0]
-    json.loads(f.to_json_text())  # must be valid JSON
 
 
 def test_sample_accepts_scalar_and_vector_callables():

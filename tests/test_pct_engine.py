@@ -242,7 +242,6 @@ def test_build_target_pt_defect():
     grid = GridSpec(8.0, 801)
     tp = build_target_problem(sch, GenOscillator(1.0, 0.5, +1), BranchSelection(), 0, UNIT, grid)
     assert pt_defect(tp.potential) < 1e-10
-    assert tp.potential_pt_defect() < 1e-10
 
 
 def test_build_target_master_residual_check():
@@ -266,19 +265,3 @@ def test_case_b_wrong_beta_negative_control():
     bad = SampledFunction(grid, tp.psi.values * m ** 0.1, "bad-beta")
     r_bad = residual(op, bad, tp.energy)
     assert r_bad / r_good > 50.0
-
-
-def test_target_problem_serialization():
-    sch = CaseB(1.0, MassDistribution(2.0, 2.0))
-    grid = GridSpec(4.0, 101)
-    tp = build_target_problem(sch, GenOscillator(0.75, 1.0, +1), BranchSelection(), 1, UNIT, grid)
-    doc = tp.to_json_dict()
-    assert doc["schema"] == "pdm-spectra/v1"
-    assert doc["scheme"]["case"] == "case-b"
-    assert doc["scheme"]["beta"] == pytest.approx(0.25)
-    assert doc["reference"]["kind"] == "oscillator"
-    assert doc["n"] == 1
-    assert len(doc["psi"]["values"]) == 101
-    assert len(doc["potential"]["values"]) == 101
-    doc2 = tp.to_json_dict(inline_potential=False)
-    assert doc2["potential"] == {"csv_ref": "potential_n1.csv"}
