@@ -102,9 +102,7 @@ class CaseB:
         return coordinate_map_y(self.mass, self.gamma, x)
 
     def x_of_y(self, y):
-        if np.ndim(y):
-            return np.array([coordinate_map_x(self.mass, self.gamma, yi) for yi in np.asarray(y)])
-        return coordinate_map_x(self.mass, self.gamma, float(y))
+        return coordinate_map_x(self.mass, self.gamma, y)
 
 
 PCTScheme = Union[CaseA, CaseB]

@@ -22,7 +22,7 @@ import numpy as np
 
 from .conventions import SpectrumConvention
 from .errors import OutOfBoundStateRange, SingularityError
-from .specfun import complex_pow, gamma_c, jacobi_poly, laguerre_poly
+from .specfun import complex_pow, jacobi_poly, laguerre_poly
 
 __all__ = [
     "ScarfII",
@@ -160,17 +160,18 @@ def oscillator_energy(pot: GenOscillator, n: int,
 def scarf_wavefunction(pot: ScarfII, sel: BranchSelection, n: int, y):
     """Unnormalized Scarf II eigenfunction.
 
-    phi_n = C z^(-p) (z~)^(-q) P_n^(-2p-1/2, -2q-1/2)(i sinh y) with
+    phi_n = z^(-p) (z~)^(-q) P_n^(-2p-1/2, -2q-1/2)(i sinh y) with
     z = (1 - i sinh y)/2 and z~ = (1 + i sinh y)/2 the *formal* conjugate
-    (kept analytic, not a numerical conjugation).
+    (kept analytic, not a numerical conjugation). No Gamma-function
+    normalization is applied: it would have poles at valid bound states
+    (for example t = sqrt(1/4 + lambda + mu) an integer).
     """
     p, q, _, _ = branch_params(pot, sel)
     y = np.asarray(y, dtype=float)
     u = 1j * np.sinh(y)
     z = (1.0 - u) / 2.0
     zt = (1.0 + u) / 2.0
-    pref = gamma_c(n - 2.0 * p + 0.25) / (math.factorial(n) * gamma_c(0.5 - 2.0 * p))
-    out = pref * complex_pow(z, -p) * complex_pow(zt, -q) * jacobi_poly(
+    out = complex_pow(z, -p) * complex_pow(zt, -q) * jacobi_poly(
         n, -2.0 * p - 0.5, -2.0 * q - 0.5, u
     )
     out = np.asarray(out, dtype=complex)

@@ -38,6 +38,14 @@ def test_spectrum_oscillator_odd_integers(runner):
     assert all(row["real"] for row in doc["rows"])
 
 
+@pytest.mark.parametrize("command", ["spectrum", "wavefunction"])
+def test_scarf_at_integer_t_exits_0(runner, command):
+    # t = sqrt(1/4 + lambda + mu) = 3: a bound state where Gamma(n - 2p + 1/4) has a pole
+    res = runner.invoke(main, [command, "--reference", "scarf", "--lambda", "8.5314",
+                               "--mu", "0.2186", "--levels", "1"])
+    assert res.exit_code == 0, res.output
+
+
 def test_spectrum_csv_format(runner):
     res = runner.invoke(main, ["spectrum", *FAST, "--format", "csv"])
     assert res.exit_code == 0, res.output

@@ -1,13 +1,17 @@
 """Mass family, coordinate map, grids, sampled functions and PT diagnostics."""
 
 import math
+import subprocess
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
 from pdm_spectra import (
     CaseB,
     ConvergenceError,
+    DomainError,
     GridAsymmetryError,
     GridSpec,
     MassDistribution,
@@ -128,11 +132,76 @@ def test_map_on_array_matches_case_b():
     ys = coordinate_map_y(dist, 1.0, xs)
     assert np.array_equal(ys, CaseB(1.0, dist).y_of_x(xs))
     assert np.array_equal(ys, xs + (dist.alpha - 1.0) * np.arctan(xs))
-    # quadrature: one integral per point, identical to the scalar calls
+    # quadrature: the panel lattice is fixed at 0, so identical to the scalar calls
     dist = MassDistribution(3.0, 3.0)
     ys = coordinate_map_y(dist, 1.0, xs)
     assert np.array_equal(ys, CaseB(1.0, dist).y_of_x(xs))
     assert np.array_equal(ys, [coordinate_map_y(dist, 1.0, float(x)) for x in xs])
+
+
+# (alpha, k, gamma), none with k*gamma/2 = 1, so all on the quadrature path;
+# the last has branch points +-i sqrt(alpha) close to the real axis
+QUAD_CASES = ((2.0, 1.2, 1.0), (3.0, 2.0, 0.8), (0.5, 2.0, 0.5), (3.0, 3.0, 1.0),
+              (1e-3, 1.2, 1.0))
+
+
+def _mp_map_y(alpha, k, gamma, x):
+    with mpmath.workdps(40):
+        f = lambda t: ((alpha + t * t) / (1 + t * t)) ** (mpmath.mpf(k) * gamma / 2)
+        return float(mpmath.quad(f, [0, min(x, 0.1), mpmath.mpf(x)]))
+
+
+@pytest.mark.parametrize("alpha, k, gamma", QUAD_CASES)
+def test_maps_match_mpmath(alpha, k, gamma):
+    # every 13th node of the positive half of an L = 12, N = 2401 grid, where an
+    # adaptive quadrature per point (epsabs 1.5e-8) errs by up to 9e-12
+    dist = MassDistribution(alpha, k)
+    xs = GridSpec(12.0, 2401).points[1200::13]
+    ref = np.array([_mp_map_y(alpha, k, gamma, x) for x in xs])
+    assert np.max(np.abs(coordinate_map_y(dist, gamma, xs) - ref)) < 1e-13
+    assert np.max(np.abs(coordinate_map_x(dist, gamma, ref) - xs)) < 1e-13
+
+
+@pytest.mark.parametrize("alpha, k, gamma", QUAD_CASES)
+def test_map_is_exactly_odd(alpha, k, gamma):
+    dist = MassDistribution(alpha, k)
+    xs = np.random.default_rng(RNG_SEED + 4).uniform(0.0, 9.0, size=200)
+    assert np.array_equal(coordinate_map_y(dist, gamma, -xs), -coordinate_map_y(dist, gamma, xs))
+    ys = coordinate_map_y(dist, gamma, xs)
+    assert np.array_equal(coordinate_map_x(dist, gamma, -ys), -coordinate_map_x(dist, gamma, ys))
+
+
+# closed form, and a near-power-law map where Newton converges linearly at first
+@pytest.mark.parametrize("alpha, k, gamma", QUAD_CASES + ((2.0, 2.0, 1.0), (1e-4, 10.0, 1.0)))
+def test_map_round_trip_on_arrays(alpha, k, gamma):
+    dist = MassDistribution(alpha, k)
+    xs = GridSpec(12.0, 2401).points.reshape(49, 49)
+    back = coordinate_map_x(dist, gamma, coordinate_map_y(dist, gamma, xs))
+    assert back.shape == xs.shape
+    assert np.max(np.abs(back - xs)) < 1e-13
+    assert np.array_equal(back[3], [coordinate_map_x(dist, gamma, float(y))
+                                    for y in coordinate_map_y(dist, gamma, xs[3])])
+
+
+def test_map_domain_errors():
+    dist = MassDistribution(3.0, 3.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            coordinate_map_x(dist, 1.0, bad)
+        with pytest.raises(DomainError):
+            coordinate_map_y(dist, 1.0, bad)
+    # the quadrature lattice ends at |x| = 2^17
+    with pytest.raises(DomainError):
+        coordinate_map_y(dist, 1.0, 2.0 ** 18)
+    with pytest.raises(DomainError):
+        coordinate_map_x(dist, 1.0, 2.0 ** 18)
+
+
+def test_cli_import_leaves_out_scipy_quadrature():
+    code = ("import sys, pdm_spectra.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_map_derivative_matches_mass_power():
@@ -245,9 +314,8 @@ def test_pt_defect_rejects_asymmetric_grid():
 
 
 def test_convergence_error_on_unreachable_bracket():
-    # y far outside any reachable value still converges for this family
-    # (map is unbounded), so instead check the error type is importable and
-    # a pathological gamma producing overflow is caught upstream by quad.
+    # the map is unbounded for this family, so even a far y is bracketed and
+    # converges; the typed failures are checked in test_map_domain_errors
     dist = MassDistribution(2.0, 2.0)
     x = coordinate_map_x(dist, 1.0, 50.0)
     assert coordinate_map_y(dist, 1.0, x) == pytest.approx(50.0, abs=1e-10)

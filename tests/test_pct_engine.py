@@ -253,6 +253,20 @@ def test_build_target_master_residual_check():
     assert residual(op, tp.psi, tp.energy) < 1e-4
 
 
+def test_build_target_residual_continuous_at_integer_scarf_t():
+    # t = sqrt(1/4 + lambda + mu) = 3 is an ordinary bound-state input: the
+    # residual there matches the one at a nearby mu
+    sch = CaseA(MassDistribution(2.0, 2.0))
+    grid = GridSpec(12.0, 1201)
+    res = []
+    for mu in (0.2186, 0.2186 + 1e-7):
+        tp = build_target_problem(sch, ScarfII(8.5314, mu), BranchSelection(), 1, UNIT, grid)
+        op = discretize_pdm(lambda x: mass_eval(sch.mass, x), tp.potential, grid, UNIT)
+        res.append(residual(op, tp.psi, tp.energy))
+    assert 0.0 < res[0] < 1e-3
+    assert res[0] == pytest.approx(res[1], rel=1e-6)
+
+
 def test_case_b_wrong_beta_negative_control():
     # the residual with the correct beta is orders of magnitude below any
     # perturbed exponent: the first-derivative term really is eliminated

@@ -202,7 +202,7 @@ def test_scarf_wavefunction_structure():
     pot = ScarfII(5.25, 0.25)
     sel = BranchSelection()
     p, q, _, _ = branch_params(pot, sel)
-    # at y = 0: z = z~ = 1/2, so phi_0 = prefactor * 2^(p+q)
+    # at y = 0: z = z~ = 1/2, so phi_0 = 2^(p+q)
     v0 = scarf_wavefunction(pot, sel, 0, 0.0)
     v1 = scarf_wavefunction(pot, sel, 0, 0.7)
     z = (1.0 - 1j * math.sinh(0.7)) / 2.0
@@ -211,6 +211,16 @@ def test_scarf_wavefunction_structure():
     ratio = v1 / v0
     expected = (z ** (-p) * zt ** (-q)) / (0.5 ** (-p) * 0.5 ** (-q))
     assert ratio == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("lam, mu, n", [(8.5314, 0.2186, 1), (6.7422, 0.5703, 0)])
+def test_scarf_wavefunction_finite_at_gamma_poles(lam, mu, n):
+    # t = 3 and t = 2.75: Gamma(n - 2p + 1/4)/Gamma(1/2 - 2p), with
+    # p = -1/4 + t/2, has a pole at both, yet each is a bound state
+    pot = ScarfII(lam, mu)
+    assert n < scarf_bound_count(pot)
+    v = scarf_wavefunction(pot, BranchSelection(), n, np.linspace(-4.0, 4.0, 17))
+    assert np.all(np.isfinite(v)) and np.all(np.abs(v) > 0.0)
 
 
 def test_scarf_wavefunction_decays():

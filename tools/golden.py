@@ -21,7 +21,9 @@ The corpus covers the README commands; ``potential`` and ``wavefunction`` in
 JSON and CSV for case a (Scarf, oscillator), case b on the closed-form map
 (gamma = 1 and 0.5) and case b on the quadrature map (k = 1.2; Scarf and
 oscillator); ``spectrum`` in JSON and CSV (Scarf case b, oscillator case a,
-the quadrature map, an 18-row oscillator table); three ``--config`` runs with
+the quadrature map, an 18-row oscillator table); ``spectrum`` and
+``wavefunction`` on a Scarf II draw whose t = sqrt(1/4 + lambda + mu) is an
+integer (3); three ``--config`` runs with
 a flag override; six usage errors; two ``--out`` runs; and ``verify`` with
 its negative control.
 """
@@ -48,6 +50,8 @@ _CASE_B_QUAD_SCARF = ["--case", "b", "--gamma", "1", "--k", "1.2", "--reference"
                       "--lambda", "8", "--mu", "0.25", "--L", "4", "--N", "301", "--levels", "0"]
 _CASE_B_QUAD_OSC = ["--case", "b", "--gamma", "1", "--k", "1.2", "--reference", "oscillator",
                     "--g", "0.75", "--eps", "1", "--L", "3", "--N", "301", "--levels", "0"]
+# t = sqrt(1/4 + lambda + mu) = 3 exactly
+_SCARF_T3 = ["--reference", "scarf", "--lambda", "8.5314", "--mu", "0.2186", "--levels", "1"]
 
 _SPECTRA = {
     "scarf-b": ["--case", "b", "--gamma", "1", "--alpha", "2", "--reference", "scarf",
@@ -80,6 +84,7 @@ INVOCATIONS: tuple = (
       for fmt in ("json", "csv")),
     *((f"spectrum-{label}-{fmt}", ["spectrum", *args, "--format", fmt], None)
       for label, args in _SPECTRA.items() for fmt in ("json", "csv")),
+    *((f"{cmd}-scarf-t3", [cmd, *_SCARF_T3], None) for cmd in ("spectrum", "wavefunction")),
     ("config-potential", ["potential", "--config", "config.json", "--format", "csv"],
      {"case": "b", "gamma": 1, "alpha": 2, "reference": "scarf", "lambda": 8, "mu": 0.25,
       "L": 3.2, "N": 401, "levels": "0"}),
