@@ -11,10 +11,13 @@ Dirichlet walls at +-L. Sampling w at midpoints enforces continuity of
 the three bands of its interior rows (Golub & Van Loan, Matrix Computations,
 sec. 1.2.5), so assembly, residuals and the PT check cost O(N); the dense
 N x N matrix is derived on request. The eigensolver is non-Hermitian, as no
-symmetry shortcut is valid for complex PT potentials, and has two branches: a
-dense eigendecomposition for the k levels of smallest real part, and banded
-shift-invert Arnoldi for the k levels nearest a given energy. Both are
-certified by the same residuals ||A x - lambda x|| / ||x||.
+symmetry shortcut is valid for complex PT potentials, and runs banded
+shift-invert Arnoldi on a sparse LU of the bands: at a given energy for the k
+levels nearest it, or below the whole spectrum for the k levels of smallest
+real part, which Bendixson's theorem certifies complete. A dense
+eigendecomposition is the fallback where ARPACK cannot serve: k too close to
+N, or an exactly singular factor. Every level is certified by its residual
+||A x - lambda x|| / ||x||.
 """
 
 from __future__ import annotations
@@ -177,24 +180,62 @@ def _shift_invert(op: DiscreteOperator, k: int, want_vectors: bool, sigma: compl
     return out if want_vectors else (out, None)
 
 
+def _lowest_shift_invert(op: DiscreteOperator, k: int, want_vectors: bool):
+    """Eigenpairs that include the k of smallest real part, or None.
+
+    Shift-invert Arnoldi at sigma = lambda_min(H) - 1, below the spectrum,
+    with H = (A + A^H)/2 the Hermitian part of the interior. By Bendixson's
+    theorem (Horn & Johnson, Topics in Matrix Analysis, sec. 1.2) every
+    eigenvalue has Re >= lambda_min(H) and |Im| <= b = ||K||_inf, with
+    K = (A - A^H)/2. Of the j values nearest sigma, at distance <= R, let
+    lambda_(k) have the k-th smallest real part: when
+    (Re lambda_(k) - sigma)^2 + b^2 < R^2, every eigenvalue with real part
+    up to Re lambda_(k) lies within R of sigma, so none of the k lowest was
+    missed. Otherwise j doubles. Returns None when j would reach N-3, where
+    ARPACK cannot serve, or when the factor is exactly singular.
+    """
+    n = op.grid.num_points_N
+    # a diagonal unitary similarity makes the Hermitian tridiagonal H real,
+    # with off-diagonal |h|; for assembled operators h = lower[1:] exactly
+    herm_off = np.abs(op.lower[1:] + np.conj(op.upper[:-1])) / 2
+    sigma = scipy.linalg.eigvalsh_tridiagonal(op.diag.real, herm_off, select="i",
+                                              select_range=(0, 0))[0] - 1.0
+    skew_off = np.abs(op.lower[1:] - np.conj(op.upper[:-1])) / 2
+    b = np.max(np.abs(op.diag.imag) + np.pad(skew_off, (1, 0)) + np.pad(skew_off, (0, 1)))
+    j = 2 * k
+    while j < n - 3:
+        found = _shift_invert(op, j, want_vectors, sigma)
+        if found is None:
+            return None
+        reach = np.max(np.abs(found[0] - sigma))
+        kth = np.sort(found[0].real)[k - 1]
+        if (kth - sigma) ** 2 + b ** 2 < reach ** 2:
+            return found
+        j *= 2
+    return None
+
+
 def eigen_solve(op: DiscreteOperator, k: int, want_vectors: bool = True,
                 sigma: Optional[complex] = None) -> EigenResult:
     """k eigenvalues with residual certificates.
 
-    With sigma None: the k of smallest real part, from a dense
-    eigendecomposition of the interior. With sigma given: the k nearest
-    sigma, ordered by |lambda - sigma|, from shift-invert Arnoldi on a
-    sparse LU of the interior bands (Lehoucq, Sorensen & Yang, ARPACK
-    Users' Guide, 1998, sec. 3.2). ARPACK needs k < N-3; for larger k, or
-    when sigma is itself an eigenvalue, the dense spectrum is sorted by
-    distance to sigma instead.
+    Both branches run shift-invert Arnoldi on a sparse LU of the interior
+    bands (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, 1998, sec. 3.2).
+    With sigma None: the k of smallest real part, ordered by real part, from
+    a shift below the spectrum whose completeness Bendixson's theorem
+    certifies (see _lowest_shift_invert). With sigma given: the k nearest
+    sigma, ordered by |lambda - sigma|. ARPACK needs fewer than N-3 values,
+    and the lowest branch asks for 2k or more; where it cannot serve, or the
+    factor is exactly singular, the dense spectrum of the interior is sorted
+    instead.
     """
     n = op.grid.num_points_N
     if not 1 <= k <= n - 2:
         raise ValueError(f"k must be in [1, N-2] = [1, {n - 2}], got {k}")
-    found = None
-    if sigma is not None and k < n - 3:
-        found = _shift_invert(op, k, want_vectors, sigma)
+    if sigma is None:
+        found = _lowest_shift_invert(op, k, want_vectors)
+    else:
+        found = _shift_invert(op, k, want_vectors, sigma) if k < n - 3 else None
     vals, vecs = found if found is not None else _dense_eig(op.matrix[1:-1, 1:-1], want_vectors)
     if sigma is None:
         order = np.argsort(vals.real, kind="stable")[:k]

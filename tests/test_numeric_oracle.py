@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from pdm_spectra import numeric_oracle
 from pdm_spectra import (
     BranchSelection,
     CaseB,
@@ -259,8 +261,100 @@ def test_sigma_no_convergence_is_typed(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
     op = discretize_const(lambda y: y ** 2 / 2.0, GridSpec(5.0, 101), HALF)
-    with pytest.raises(ConvergenceError):
-        eigen_solve(op, k=4, sigma=1.0)
+    for sigma in (1.0, None):   # near sigma, and the k lowest
+        with pytest.raises(ConvergenceError):
+            eigen_solve(op, k=4, sigma=sigma)
+
+
+# ---------------------------------------------------------------------------
+# eigen_solve for the k lowest (shift-invert below the spectrum)
+
+
+def _forbid_dense_eig(monkeypatch):
+    def dense_eig(*args, **kwargs):
+        raise AssertionError("dense eig called")
+
+    monkeypatch.setattr(numeric_oracle, "_dense_eig", dense_eig)
+
+
+def _assert_lowest_match_dense(res, dense, k, anorm):
+    # matched as sets: a conjugate pair may come in either order, so each
+    # value is paired with the nearest dense value not yet taken
+    assert np.all(np.diff(res.eigenvalues.real) >= 0)    # ordered by real part
+    taken = []
+    for got in res.eigenvalues:
+        dist = np.abs(dense.eigenvalues - got)
+        dist[taken] = np.inf
+        i = int(np.argmin(dist))
+        x = dense.eigenvectors[1:-1, i]
+        bound = 32 * np.linalg.norm(x) ** 2 / abs(x @ x) * EPS * anorm
+        assert dist[i] <= bound
+        assert dense.eigenvalues[i].real <= dense.eigenvalues[k - 1].real + bound
+        taken.append(i)
+    assert np.array_equal(res.reality_flags, dense.reality_flags[:k])
+    assert np.array_equal(res.reality_flags, dense.reality_flags[taken])
+    assert np.all(res.residuals <= 1e3 * EPS * anorm)
+
+
+@pytest.mark.parametrize("k", [1, 8, 48])
+def test_lowest_matches_dense_within_rounding(sigma_case, k, monkeypatch):
+    # 2k < N - 3, so ARPACK serves and the dense branch must not run
+    op, dense, anorm = sigma_case
+    _forbid_dense_eig(monkeypatch)
+    _assert_lowest_match_dense(eigen_solve(op, k), dense, k, anorm)
+
+
+def test_lowest_on_skew_bands_matches_dense(monkeypatch):
+    # lower[1:] != upper[:-1]: the Hermitian part has complex off-diagonals and
+    # the skew part nonzero ones, so the general shift and bound are exercised
+    rng = np.random.default_rng(5)
+    base = discretize_const(lambda y: y ** 2 / 2.0 + 0.3j * np.sin(y), GridSpec(8.0, 241), HALF)
+    m = base.grid.num_points_N - 2
+    op = DiscreteOperator(
+        grid=base.grid, convention=HALF, diag=base.diag,
+        lower=base.lower + 0.4 * (rng.standard_normal(m) + 1j * rng.standard_normal(m)),
+        upper=base.upper + 0.4 * (rng.standard_normal(m) + 1j * rng.standard_normal(m)))
+    dense = eigen_solve(op, k=m)
+    anorm = np.max(np.abs(op.lower) + np.abs(op.diag) + np.abs(op.upper))
+    _forbid_dense_eig(monkeypatch)
+    for k in (1, 8, 48):
+        _assert_lowest_match_dense(eigen_solve(op, k), dense, k, anorm)
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (5, 1), (5, 3), (7, 2), (9, 3)])
+def test_lowest_on_tiny_grids_is_dense_bit_for_bit(n, k):
+    # 2k >= N - 3: ARPACK cannot serve, and the dense spectrum is sorted as before
+    rng = np.random.default_rng(n + k)
+    bands = {name: rng.standard_normal(n - 2) + 1j * rng.standard_normal(n - 2)
+             for name in ("lower", "diag", "upper")}
+    op = DiscreteOperator(grid=GridSpec(1.0, n), convention=UNIT, **bands)
+    vals, vecs = scipy.linalg.eig(op.matrix[1:-1, 1:-1])
+    order = np.argsort(vals.real, kind="stable")[:k]
+    res = eigen_solve(op, k)
+    assert np.array_equal(res.eigenvalues, vals[order])
+    assert np.array_equal(res.eigenvectors[1:-1], vecs[:, order])
+
+
+def test_lowest_certificate_doubles_past_a_missed_level(monkeypatch):
+    # 1.5 + 5i has the second-smallest real part but is farther from
+    # sigma = 0 than 1..4: at j = 4 the certificate fails, (2 - 0)^2 + 5^2
+    # > 4^2, and at j = 8 it holds, 1.5^2 + 5^2 < 7^2
+    diag = np.arange(1.0, 31.0).astype(complex)
+    diag[-1] = 1.5 + 5j
+    op = _operator_from_interior(np.diag(diag))
+    asked = []
+    shift_invert = numeric_oracle._shift_invert
+
+    def recording(op, k, want_vectors, sigma):
+        asked.append((k, sigma))
+        return shift_invert(op, k, want_vectors, sigma)
+
+    monkeypatch.setattr(numeric_oracle, "_shift_invert", recording)
+    _forbid_dense_eig(monkeypatch)
+    res = eigen_solve(op, k=2)
+    assert asked == [(4, 0.0), (8, 0.0)]
+    np.testing.assert_allclose(res.eigenvalues, [1.0, 1.5 + 5j], rtol=1e-13)
+    assert list(res.reality_flags) == [True, False]
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +444,15 @@ def test_no_dense_matrix_outside_the_dense_branch():
         assert tracemalloc.get_traced_memory()[1] < limit, "pt_commutation_defect"
         res = eigen_solve(op, k=4, sigma=0.4)
         assert tracemalloc.get_traced_memory()[1] < limit, "eigen_solve"
+        lowest = eigen_solve(op, k=4)
+        assert tracemalloc.get_traced_memory()[1] < limit, "eigen_solve, k lowest"
     finally:
         tracemalloc.stop()
     assert res.eigenvalues[0] == pytest.approx(0.5, abs=1e-6)
+    np.testing.assert_allclose(lowest.eigenvalues, [0.5, 1.5, 2.5, 3.5], atol=1e-6)
     anorm = np.max(np.abs(op.lower) + np.abs(op.diag) + np.abs(op.upper))
     assert np.all(res.residuals < 1e3 * EPS * anorm)
+    assert np.all(lowest.residuals < 1e3 * EPS * anorm)
 
 
 # ---------------------------------------------------------------------------

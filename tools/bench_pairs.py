@@ -10,12 +10,16 @@ first and odd pairs the change first, so slow drift of the host falls on both
 sides alike. Every pair uses the same seed, so both sides see the same inputs.
 
 Each invocation appends one set to the file, so the file keeps every run
-made: the set's workload and seed, every run's final JSON line, each side's
-median and quartiles of every end-to-end metric named in the change's
-``BENCHMARK.json``, how many pairs the change won per metric, and the two
-tests a claim is judged by (a gain: wins in at least nine tenths of the pairs
-and a median difference larger than the parent's quartile distance; a
-regression: a median worse than the parent's by more than the metric's bound).
+made: the set's workload and seed, every run's final JSON line with the
+``FAILED op`` lines it printed, each side's median and quartiles of every
+end-to-end metric named in the change's ``BENCHMARK.json``, how many pairs the
+change won per metric, and the two tests a claim is judged by (a gain: wins in
+at least nine tenths of the pairs and a median difference larger than the
+parent's quartile distance; a regression: a median worse than the parent's by
+more than the metric's bound). It also sums each side's ``failed`` and
+``attempted`` operations over the set and flags the set when the change's
+failed share is higher than the parent's, which rejects a change as surely as
+a regression does.
 """
 
 from __future__ import annotations
@@ -35,7 +39,14 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    lines = done.stdout.strip().splitlines()
+    return {**json.loads(lines[-1]),
+            "failed_ops": [line for line in lines if line.startswith("FAILED op")]}
+
+
+def _failures(runs: list[dict]) -> dict:
+    failed, attempted = sum(r["failed"] for r in runs), sum(r["attempted"] for r in runs)
+    return {"failed": failed, "attempted": attempted, "share": failed / attempted}
 
 
 def _summary(values: list[float]) -> dict:
@@ -78,7 +89,8 @@ def main(argv=None) -> int:
         for side in order:
             runs[side].append(_run(getattr(args, side), args.workload, args.seed, seconds))
             m = runs[side][-1]["metrics"]
-            print(f"pair {i} {side}: " + ", ".join(f"{k}={v['value']:.4g}" for k, v in m.items()),
+            print(f"pair {i} {side}: " + ", ".join(f"{k}={v['value']:.4g}" for k, v in m.items())
+                  + f", failed {runs[side][-1]['failed']}/{runs[side][-1]['attempted']}",
                   file=sys.stderr)
 
     metrics = {
@@ -86,9 +98,11 @@ def main(argv=None) -> int:
                           [r["metrics"][m["name"]]["value"] for r in runs["change"]])
         for m in spec["end_to_end"]
     }
+    failures = {side: _failures(runs[side]) for side in runs}
+    failures["change_fails_more"] = failures["change"]["share"] > failures["parent"]["share"]
     entry = {"workload": args.workload, "seed": args.seed, "seconds": seconds,
              "pairs": args.pairs, "order": "even pairs parent first, odd pairs change first",
-             "metrics": metrics, "runs": runs}
+             "metrics": metrics, "failures": failures, "runs": runs}
 
     path = ROOT / f"BENCH_{args.label}.json"
     doc = json.loads(path.read_text()) if path.exists() else {"sets": []}
@@ -98,6 +112,9 @@ def main(argv=None) -> int:
         print(f"{args.workload} {name}: parent {m['parent']['median']:.4g} "
               f"change {m['change']['median']:.4g} {m['unit']}, change won "
               f"{m['change_wins']}/{m['pairs']}, gain={m['gain']} regression={m['regression']}")
+    print(f"{args.workload} failed: parent {failures['parent']['failed']}/"
+          f"{failures['parent']['attempted']}, change {failures['change']['failed']}/"
+          f"{failures['change']['attempted']}, change fails more={failures['change_fails_more']}")
     return 0
 
 
