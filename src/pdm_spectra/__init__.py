@@ -59,6 +59,7 @@ from .reference_potentials import (
     oscillator_energy,
     oscillator_wavefunction,
     scarf_bound_count,
+    scarf_branch_sum,
     scarf_energy,
     scarf_wavefunction,
 )

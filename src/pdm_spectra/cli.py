@@ -48,11 +48,12 @@ from .reference_potentials import (
     ScarfII,
     SCARF_FORMULA_CORRECTED,
     SCARF_FORMULA_PUBLISHED,
-    branch_params,
     omega_oscillator,
     omega_scarf,
     oscillator_energy,
     scarf_bound_count,
+    scarf_branch_sum,
+    scarf_branch_text,
     scarf_energy,
 )
 
@@ -298,13 +299,13 @@ def _analytic_rows(cfg: RunConfig):
     rows = []
     if cfg.reference == "scarf":
         pot = ScarfII(cfg.lambda_depth, cfg.mu)
-        bound = scarf_bound_count(pot)
+        bound = scarf_bound_count(pot, cfg.branch)
         for n in cfg.levels:
             if n >= bound:
-                _, _, s, t = branch_params(pot)
                 raise click.UsageError(
-                    f"level n={n} out of Scarf bound range: need n < (s+t-1)/2 "
-                    f"= {(s.real + t.real - 1) / 2:.6g}")
+                    f"level n={n} out of Scarf bound range: need n < "
+                    f"({scarf_branch_text(cfg.branch)}-1)/2 "
+                    f"= {(scarf_branch_sum(pot, cfg.branch).real - 1) / 2:.6g}")
             rows.append((n, None, pot, scarf_energy(pot, cfg.branch, n, cfg.conv)))
     else:
         for q in (+1, -1):

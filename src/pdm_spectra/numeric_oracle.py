@@ -14,10 +14,11 @@ N x N matrix is derived on request. The eigensolver is non-Hermitian, as no
 symmetry shortcut is valid for complex PT potentials, and runs banded
 shift-invert Arnoldi on a sparse LU of the bands: at a given energy for the k
 levels nearest it, or below the whole spectrum for the k levels of smallest
-real part, which Bendixson's theorem certifies complete. A dense
-eigendecomposition is the fallback where ARPACK cannot serve: k too close to
-N, or an exactly singular factor. Every level is certified by its residual
-||A x - lambda x|| / ||x||.
+real part, which Bendixson's theorem certifies complete; that request
+starts a little above k values, from a Krylov basis sized to it, and grows
+by 3/2 only while the certificate fails. A dense eigendecomposition is the
+fallback where ARPACK cannot serve: k too close to N, or an exactly singular
+factor. Every level is certified by its residual ||A x - lambda x|| / ||x||.
 """
 
 from __future__ import annotations
@@ -132,6 +133,9 @@ class EigenResult:
     grid: GridSpec
     convention: SpectrumConvention
     eigenvectors: Optional[np.ndarray] = None   # N x k, boundary entries zero
+    # (j, ncv) per k-lowest Krylov request tried; empty when none ran (the
+    # sigma branch, or dense from the start)
+    krylov_requests: tuple = ()
 
     def real_eigenvalues(self) -> np.ndarray:
         return self.eigenvalues[self.reality_flags]
@@ -150,11 +154,13 @@ def _dense_eig(interior: np.ndarray, want_vectors: bool):
         raise ConvergenceError(f"dense eigendecomposition failed: {exc}") from exc
 
 
-def _shift_invert(op: DiscreteOperator, k: int, want_vectors: bool, sigma: complex):
-    """k eigenpairs nearest sigma by ARPACK on a sparse LU of the interior bands.
+def _shift_invert(op: DiscreteOperator, sigma: complex):
+    """ARPACK near sigma on one sparse LU of the interior bands, or None.
 
-    Returns None when A - sigma I is exactly singular, i.e. sigma is itself
-    an eigenvalue of the interior.
+    Returns solve(j, want_vectors, ncv=None) -> (values, vectors or None), the
+    j eigenpairs nearest sigma, with scipy's ncv = 2j + 1 when ncv is None;
+    every call reuses the one factor. Returns None when A - sigma I is exactly
+    singular, i.e. sigma is itself an eigenvalue of the interior.
     """
     m = op.grid.num_points_N - 2
     bands = [op.lower[1:], op.diag - sigma, op.upper[:-1]]
@@ -172,16 +178,22 @@ def _shift_invert(op: DiscreteOperator, k: int, want_vectors: bool, sigma: compl
     # where all-ones has none along the odd levels of an even potential and
     # would rely on rounding to supply them
     v0 = np.random.default_rng(0).standard_normal(m).astype(complex)
-    try:
-        out = scipy.sparse.linalg.eigs(a, k=k, sigma=sigma, which="LM", OPinv=opinv,
-                                       v0=v0, return_eigenvectors=want_vectors)
-    except scipy.sparse.linalg.ArpackError as exc:
-        raise ConvergenceError(f"shift-invert Arnoldi at sigma={sigma} failed: {exc}") from exc
-    return out if want_vectors else (out, None)
+
+    def solve(j: int, want_vectors: bool, ncv: Optional[int] = None):
+        try:
+            out = scipy.sparse.linalg.eigs(a, k=j, sigma=sigma, which="LM", OPinv=opinv,
+                                           v0=v0, ncv=ncv, return_eigenvectors=want_vectors)
+        except scipy.sparse.linalg.ArpackError as exc:
+            raise ConvergenceError(
+                f"shift-invert Arnoldi at sigma={sigma} failed: {exc}") from exc
+        return out if want_vectors else (out, None)
+
+    return solve
 
 
 def _lowest_shift_invert(op: DiscreteOperator, k: int, want_vectors: bool):
-    """Eigenpairs that include the k of smallest real part, or None.
+    """Eigenpairs that include the k of smallest real part, or None; and the
+    (j, ncv) Krylov requests tried.
 
     Shift-invert Arnoldi at sigma = lambda_min(H) - 1, below the spectrum,
     with H = (A + A^H)/2 the Hermitian part of the interior. By Bendixson's
@@ -191,10 +203,20 @@ def _lowest_shift_invert(op: DiscreteOperator, k: int, want_vectors: bool):
     lambda_(k) have the k-th smallest real part: when
     (Re lambda_(k) - sigma)^2 + b^2 < R^2, every eigenvalue with real part
     up to Re lambda_(k) lies within R of sigma, so none of the k lowest was
-    missed. Otherwise j doubles. Returns None when j would reach N-3, where
-    ARPACK cannot serve, or when the factor is exactly singular.
+    missed. The first request asks for j = k + max(8, k // 4) values from
+    ncv = min(N - 2, j + max(20, j // 2)) Krylov vectors: ARPACK's implicitly
+    restarted Arnoldi (Lehoucq & Sorensen, SIAM J. Matrix Anal. Appl. 17
+    (1996) 789) costs about N ncv^2 per restart, and scipy's default
+    ncv = 2j + 1 would spend most of it on values the certificate does not
+    need. While the certificate fails, j grows by 3/2, on the same factor.
+    Returns None when j would reach N-3, where ARPACK cannot serve, or when
+    the factor is exactly singular.
     """
     n = op.grid.num_points_N
+    requests = []
+    j = k + max(8, k // 4)
+    if j >= n - 3:
+        return None, requests
     # a diagonal unitary similarity makes the Hermitian tridiagonal H real,
     # with off-diagonal |h|; for assembled operators h = lower[1:] exactly
     herm_off = np.abs(op.lower[1:] + np.conj(op.upper[:-1])) / 2
@@ -202,17 +224,19 @@ def _lowest_shift_invert(op: DiscreteOperator, k: int, want_vectors: bool):
                                               select_range=(0, 0))[0] - 1.0
     skew_off = np.abs(op.lower[1:] - np.conj(op.upper[:-1])) / 2
     b = np.max(np.abs(op.diag.imag) + np.pad(skew_off, (1, 0)) + np.pad(skew_off, (0, 1)))
-    j = 2 * k
+    solve = _shift_invert(op, sigma)
+    if solve is None:
+        return None, requests
     while j < n - 3:
-        found = _shift_invert(op, j, want_vectors, sigma)
-        if found is None:
-            return None
+        ncv = min(n - 2, j + max(20, j // 2))
+        requests.append((j, ncv))
+        found = solve(j, want_vectors, ncv)
         reach = np.max(np.abs(found[0] - sigma))
         kth = np.sort(found[0].real)[k - 1]
         if (kth - sigma) ** 2 + b ** 2 < reach ** 2:
-            return found
-        j *= 2
-    return None
+            return found, requests
+        j = 3 * j // 2
+    return None, requests
 
 
 def eigen_solve(op: DiscreteOperator, k: int, want_vectors: bool = True,
@@ -223,19 +247,23 @@ def eigen_solve(op: DiscreteOperator, k: int, want_vectors: bool = True,
     bands (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, 1998, sec. 3.2).
     With sigma None: the k of smallest real part, ordered by real part, from
     a shift below the spectrum whose completeness Bendixson's theorem
-    certifies (see _lowest_shift_invert). With sigma given: the k nearest
-    sigma, ordered by |lambda - sigma|. ARPACK needs fewer than N-3 values,
-    and the lowest branch asks for 2k or more; where it cannot serve, or the
+    certifies; the request starts at k + max(8, k // 4) values and grows by
+    3/2 until the certificate holds (see _lowest_shift_invert), and the
+    (j, ncv) pairs it tried are kept as krylov_requests. With sigma given:
+    the k nearest sigma, ordered by |lambda - sigma|, with scipy's default
+    ncv. ARPACK needs fewer than N-3 values; where it cannot serve, or the
     factor is exactly singular, the dense spectrum of the interior is sorted
     instead.
     """
     n = op.grid.num_points_N
     if not 1 <= k <= n - 2:
         raise ValueError(f"k must be in [1, N-2] = [1, {n - 2}], got {k}")
+    requests = []
     if sigma is None:
-        found = _lowest_shift_invert(op, k, want_vectors)
+        found, requests = _lowest_shift_invert(op, k, want_vectors)
     else:
-        found = _shift_invert(op, k, want_vectors, sigma) if k < n - 3 else None
+        solve = _shift_invert(op, sigma) if k < n - 3 else None
+        found = solve(k, want_vectors) if solve is not None else None
     vals, vecs = found if found is not None else _dense_eig(op.matrix[1:-1, 1:-1], want_vectors)
     if sigma is None:
         order = np.argsort(vals.real, kind="stable")[:k]
@@ -251,7 +279,8 @@ def eigen_solve(op: DiscreteOperator, k: int, want_vectors: bool = True,
     else:
         res = np.full(k, np.nan)
     return EigenResult(eigenvalues=vals, residuals=res, reality_flags=_reality_flags(vals),
-                       grid=op.grid, convention=op.convention, eigenvectors=vecs)
+                       grid=op.grid, convention=op.convention, eigenvectors=vecs,
+                       krylov_requests=tuple(requests))
 
 
 def residual(op: DiscreteOperator, psi: SampledFunction, E: complex) -> float:

@@ -8,7 +8,8 @@ Two PT-symmetric profiles are provided:
 
 Scarf II carries two energy formulas behind a switch: the verbatim published
 form -(n - p - 1)^2 and a symmetric corrected candidate
--(n + 1/2 - (s+t)/2)^2. The finite-difference oracle referees which one is
+-(n + 1/2 - (sign_p t + sign_q s)/2)^2, which reads -(n + 1/2 - (s+t)/2)^2 on
+the default branch. The finite-difference oracle referees which one is
 shipped as the default (the corrected candidate wins; see the verify report).
 """
 
@@ -34,6 +35,8 @@ __all__ = [
     "branch_params",
     "scarf_energy",
     "scarf_bound_count",
+    "scarf_branch_sum",
+    "scarf_branch_text",
     "oscillator_energy",
     "scarf_wavefunction",
     "oscillator_wavefunction",
@@ -66,9 +69,10 @@ class GenOscillator:
 class BranchSelection:
     """Signs in p = -1/4 + sign_p*t/2 and q = -1/4 + sign_q*s/2.
 
-    The default (+1, +1) is the normalizable branch: |z| -> infinity along the
-    real line, so decay requires Re(-p-q) < 0, which only the plus signs give
-    inside the bound regime s + t > 1.
+    |z| -> infinity along the real line, so level n of a branch decays, and
+    is bound, while Re(sign_p t + sign_q s) > 2n + 1 (Re(-p-q) < -n). The
+    default (+1, +1) is the branch with the most bound levels; (+1, -1) is
+    bound too whenever t - s > 1, and (-1, +1) whenever s - t > 1.
     """
 
     sign_p: int = +1
@@ -117,33 +121,53 @@ def branch_params(pot: ScarfII, sel: BranchSelection = BranchSelection()):
     return p, q, s, t
 
 
-def scarf_bound_count(pot: ScarfII) -> int:
-    """Number of bound levels: n = 0, 1, ... < (s+t-1)/2 (real s, t)."""
-    _, _, s, t = branch_params(pot)
+def scarf_branch_text(sel: BranchSelection) -> str:
+    """sign_p t + sign_q s written out, as "s+t" on the default branch."""
+    return {(1, 1): "s+t", (1, -1): "t-s", (-1, 1): "s-t", (-1, -1): "-s-t"}[
+        sel.sign_p, sel.sign_q]
+
+
+def scarf_branch_sum(pot: ScarfII, sel: BranchSelection) -> complex:
+    """sign_p t + sign_q s: level n of the branch is bound while its real part > 2n + 1."""
+    _, _, s, t = branch_params(pot, sel)
+    return sel.sign_p * t + sel.sign_q * s
+
+
+def scarf_bound_count(pot: ScarfII, sel: BranchSelection = BranchSelection()) -> int:
+    """Number of bound levels of the branch: n = 0, 1, ... < (sign_p t + sign_q s - 1)/2.
+
+    Zero when s or t is complex (the PT-broken candidate).
+    """
+    _, _, s, t = branch_params(pot, sel)
     if abs(s.imag) > 1e-12 or abs(t.imag) > 1e-12:
         return 0
-    bound = (s.real + t.real - 1.0) / 2.0
+    bound = (scarf_branch_sum(pot, sel).real - 1.0) / 2.0
     return max(0, math.ceil(bound)) if bound > 0 else 0
 
 
 def scarf_energy(pot: ScarfII, sel: BranchSelection, n: int,
                  conv: SpectrumConvention = SpectrumConvention.UNIT,
                  formula: str = SCARF_FORMULA_CORRECTED) -> EnergyLevel:
-    """Bound-state energy of PT Scarf II under the chosen formula variant."""
+    """Bound-state energy of PT Scarf II under the chosen formula variant.
+
+    The corrected form is -(n + 1/2 - (sign_p t + sign_q s)/2)^2, bound while
+    n < (sign_p t + sign_q s - 1)/2; the published form -(n - p - 1)^2 keeps
+    its verbatim range n < (s + t - 1)/2 on every branch.
+    """
     p, q, s, t = branch_params(pot, sel)
     if abs(s.imag) > 1e-12 or abs(t.imag) > 1e-12:
         raise OutOfBoundStateRange("complex s or t: PT-broken candidate, no bound range")
-    bound = (s.real + t.real - 1.0) / 2.0
-    if not 0 <= n < bound:
-        raise OutOfBoundStateRange(
-            f"level n = {n} violates n < (s+t-1)/2 = {bound:.6g}"
-        )
     if formula == SCARF_FORMULA_PUBLISHED:
+        text, branch = "s+t", s.real + t.real
         e_unit = -((n - p - 1.0) ** 2)
     elif formula == SCARF_FORMULA_CORRECTED:
-        e_unit = -((n + 0.5 - (s.real + t.real) / 2.0) ** 2)
+        text, branch = scarf_branch_text(sel), scarf_branch_sum(pot, sel).real
+        e_unit = -((n + 0.5 - branch / 2.0) ** 2)
     else:
         raise ValueError(f"unknown Scarf energy formula {formula!r}")
+    bound = (branch - 1.0) / 2.0
+    if not 0 <= n < bound:
+        raise OutOfBoundStateRange(f"level n = {n} violates n < ({text}-1)/2 = {bound:.6g}")
     return EnergyLevel(n=n, energy=conv.energy_from_unit(complex(e_unit)), convention=conv)
 
 

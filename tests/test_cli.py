@@ -76,6 +76,27 @@ def test_spectrum_scarf_level_out_of_range(runner):
     assert "(s+t-1)/2" in res.output
 
 
+def test_wavefunction_second_scarf_branch_has_its_own_energy(runner):
+    # (+, -) at lambda = 5.25, mu = 5.4 is bound (t - s > 1); its psi was once
+    # paired with the (+, +) energy -1.71314 and left a residual of 2.57e-1
+    res = runner.invoke(main, ["wavefunction", "--reference", "scarf", "--lambda", "5.25",
+                               "--mu", "5.4", "--sign-q", "-1", "--levels", "0",
+                               "--L", "12", "--N", "2401"])
+    assert res.exit_code == 0, res.output
+    doc = json.loads(res.output)
+    assert doc["E"][0] == pytest.approx(-0.98534, abs=1e-5)
+    assert doc["residual"] <= 1e-3
+
+
+def test_spectrum_scarf_branch_level_out_of_range(runner):
+    # (+, -) holds one bound level here: n < (t-s-1)/2 = 0.9926
+    res = runner.invoke(main, ["spectrum", "--reference", "scarf", "--lambda", "5.25",
+                               "--mu", "5.4", "--sign-q", "-1", "--levels", "0..1",
+                               "--N", "301"])
+    assert res.exit_code == 2
+    assert "need n < (t-s-1)/2 = 0.99" in res.output
+
+
 def test_spectrum_matches_levels_above_the_sixteenth_eigenvalue(runner):
     # 18 rows: the two highest sit above the 16th oracle eigenvalue and
     # must still be paired with their own eigenvalue, not the 16th

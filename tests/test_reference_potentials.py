@@ -27,6 +27,7 @@ from pdm_spectra import (
     residual,
     sample,
     scarf_bound_count,
+    scarf_branch_sum,
     scarf_energy,
     scarf_wavefunction,
 )
@@ -148,6 +149,50 @@ def test_scarf_energies_increase_toward_zero():
     assert len(levels) >= 3
     assert all(e < 0 for e in levels)
     assert all(b > a for a, b in zip(levels, levels[1:]))
+
+
+def test_scarf_energy_follows_the_branch():
+    # lambda = 5.25, mu = 5.4: t - s = 2.985 > 1, so (+, -) holds a bound
+    # n = 0 level at -(1/2 - (t - s)/2)^2 = -0.98534, the oracle's second level
+    pot = ScarfII(5.25, 5.4)
+    _, _, s, t = branch_params(pot)
+    plus_minus = BranchSelection(+1, -1)
+    assert scarf_branch_sum(pot, plus_minus) == pytest.approx(t - s)
+    assert scarf_energy(pot, plus_minus, 0, UNIT).energy == pytest.approx(-0.98534, abs=1e-5)
+    assert scarf_bound_count(pot, plus_minus) == 1
+    assert scarf_bound_count(pot) == 2
+    with pytest.raises(OutOfBoundStateRange, match=r"n < \(t-s-1\)/2"):
+        scarf_energy(pot, plus_minus, 1, UNIT)
+    # s - t < 0 and -s - t < 0: no level of (-, +) or (-, -) is bound here
+    for sel in (BranchSelection(-1, +1), BranchSelection(-1, -1)):
+        assert scarf_bound_count(pot, sel) == 0
+        with pytest.raises(OutOfBoundStateRange):
+            scarf_energy(pot, sel, 0, UNIT)
+    # mu < 0 swaps s and t: (-, +) is the second branch
+    mirror = ScarfII(5.25, -5.4)
+    assert scarf_energy(mirror, BranchSelection(-1, +1), 0, UNIT).energy == pytest.approx(
+        scarf_energy(pot, plus_minus, 0, UNIT).energy, rel=1e-14)
+
+
+def test_scarf_default_branch_energy_is_unchanged():
+    # (+, +) reads -(n + 1/2 - (s + t)/2)^2, bit for bit
+    pot = ScarfII(12.0, 0.5)
+    _, _, s, t = branch_params(pot)
+    for n in range(scarf_bound_count(pot)):
+        want = complex(-((n + 0.5 - (s.real + t.real) / 2.0) ** 2))
+        assert scarf_energy(pot, BranchSelection(), n, UNIT).energy == want
+
+
+def test_scarf_second_branch_is_an_oracle_level():
+    # the (+, -) level and its wave function against the constant-mass oracle
+    pot, sel = ScarfII(5.25, 5.4), BranchSelection(+1, -1)
+    grid = GridSpec(12.0, 2401)
+    op = discretize_const(lambda y: omega_scarf(pot, y), grid, UNIT)
+    e0 = scarf_energy(pot, sel, 0, UNIT).energy
+    lowest = eigen_solve(op, k=3, want_vectors=False).eigenvalues
+    assert np.min(np.abs(lowest - e0)) < 1e-4
+    psi = sample(grid, lambda y: scarf_wavefunction(pot, sel, 0, y))
+    assert residual(op, psi, e0) < 1e-3
 
 
 def test_oscillator_energy_values():
